@@ -294,7 +294,7 @@ class CompiledBackend(KernelBackend):
     vxm = _matvec
 
     def _push(self, kern, store, u, dt, *, matrix_first):
-        u_idx, u_vals = u.extract_tuples()
+        u_idx, u_vals = u.arrays()
         if store.n_major != 0 and u_idx.size:
             if int(u_idx.max()) >= store.n_major:
                 raise InvalidValue("vector index outside matrix inner dimension")

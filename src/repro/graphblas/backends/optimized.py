@@ -146,7 +146,7 @@ class OptimizedBackend(KernelBackend):
             governor.poll()
         if method == "push":
             store = A.by_row() if transposed else A.by_col()
-            u_idx, u_vals = u.extract_tuples()
+            u_idx, u_vals = u.arrays()
             ti, tv = spmspv_push(
                 store, u_idx, u_vals, sr, plan.out_type, matrix_first=is_mxv
             )
@@ -176,8 +176,8 @@ class OptimizedBackend(KernelBackend):
         A, B = plan.args
         C, d, op, out_type = plan.out, plan.desc, plan.operator, plan.out_type
         if plan.params["is_vector"]:
-            ai, av = A.extract_tuples()
-            bi, bv = B.extract_tuples()
+            ai, av = A.arrays()
+            bi, bv = B.arrays()
             ia, ib, oa, ob = match_idx(ai, bi)
             both = op.apply(av[ia], bv[ib], out_type)
             ti = np.concatenate([ai[ia], ai[oa], bi[ob]])
@@ -203,8 +203,8 @@ class OptimizedBackend(KernelBackend):
         A, B = plan.args
         C, d, op, out_type = plan.out, plan.desc, plan.operator, plan.out_type
         if plan.params["is_vector"]:
-            ai, av = A.extract_tuples()
-            bi, bv = B.extract_tuples()
+            ai, av = A.arrays()
+            bi, bv = B.arrays()
             ia, ib, _, _ = match_idx(ai, bi)
             tv = op.apply(av[ia], bv[ib], out_type)
             return write_vector(
@@ -224,7 +224,7 @@ class OptimizedBackend(KernelBackend):
         (A,) = plan.args
         C, d, p, out_type = plan.out, plan.desc, plan.params, plan.out_type
         if p["is_vector"]:
-            ti, tv_in = A.extract_tuples()
+            ti, tv_in = A.arrays()
             rows, cols = ti, np.zeros_like(ti)
         else:
             rows, cols, tv_in = _matrix_coo(A, d.transpose_a)
@@ -248,14 +248,18 @@ class OptimizedBackend(KernelBackend):
             tv = plan.operator.apply(tv_in, out_type)
 
         if p["is_vector"]:
-            return write_vector(C, rows, tv, mask=plan.mask, accum=plan.accum, desc=d)
+            # the indices pass through unchanged: copy them once, so the
+            # output owns its arrays
+            return write_vector(
+                C, rows.copy(), tv, mask=plan.mask, accum=plan.accum, desc=d
+            )
         return write_matrix(C, rows, cols, tv, mask=plan.mask, accum=plan.accum, desc=d)
 
     def select(self, plan):
         (A,) = plan.args
         C, d, iu, thunk = plan.out, plan.desc, plan.operator, plan.params["thunk"]
         if plan.params["is_vector"]:
-            ti, tv = A.extract_tuples()
+            ti, tv = A.arrays()
             keep = BOOL.cast_array(iu.apply(tv, ti, np.zeros_like(ti), thunk))
             return write_vector(
                 C, ti[keep], tv[keep], mask=plan.mask, accum=plan.accum, desc=d
@@ -285,7 +289,7 @@ class OptimizedBackend(KernelBackend):
         (A,) = plan.args
         mon = plan.operator
         if isinstance(A, Vector):
-            _, vals = A.extract_tuples()
+            _, vals = A.arrays()
         else:
             _, _, vals = A.extract_tuples()
         dtype = A.dtype
@@ -347,7 +351,7 @@ class OptimizedBackend(KernelBackend):
         C, d, p = plan.out, plan.desc, plan.params
         kind = p["kind"]
         if kind == "vector":
-            ai, av = A.extract_tuples()
+            ai, av = A.arrays()
             entry_sel, out_pos = _expand_selection(p["I"], ai)
             ti, tv = out_pos, av[entry_sel]
             order = np.argsort(ti, kind="stable")
@@ -381,7 +385,7 @@ class OptimizedBackend(KernelBackend):
         if p.get("masked_fill"):
             if isinstance(C, Vector):
                 mi = mask_true_idx(mask, d)
-                ci, cv = C.extract_tuples()
+                ci, cv = C.arrays()
                 keep = ~idx_in(ci, mi)
                 zi = np.concatenate([ci[keep], mi])
                 zv = np.concatenate(
@@ -406,11 +410,11 @@ class OptimizedBackend(KernelBackend):
         if isinstance(C, Vector):
             I_res = p["I"]
             if isinstance(A, Vector):
-                ai, av = A.extract_tuples()
+                ai, av = A.arrays()
                 mi, mv = I_res[ai], av
             else:  # scalar fill
                 mi, mv = I_res, np.broadcast_to(np.asarray(A), I_res.shape)
-            ci, cv = C.extract_tuples()
+            ci, cv = C.arrays()
             if accum is None:
                 keep = ~np.isin(ci, I_res)
                 zi = np.concatenate([ci[keep], mi])
@@ -431,7 +435,7 @@ class OptimizedBackend(KernelBackend):
             mapped = (I_res[ar], J_res[ac], av)
         elif isinstance(A, Vector):
             # row/column assign: C(i, J) = u or C(I, j) = u
-            ai, av = A.extract_tuples()
+            ai, av = A.arrays()
             if I_res.size == 1 and A.size == J_res.size:
                 mapped = (np.full(ai.size, I_res[0], dtype=_INDEX), J_res[ai], av)
             else:
@@ -452,7 +456,7 @@ class OptimizedBackend(KernelBackend):
             I_res = p["I"]
             # region view of C, in region coordinates
             order = np.argsort(I_res, kind="stable")
-            ci, cv = C.extract_tuples()
+            ci, cv = C.arrays()
             pos = np.searchsorted(I_res[order], ci)
             pos_c = np.minimum(pos, I_res.size - 1)
             inside = (
@@ -464,13 +468,13 @@ class OptimizedBackend(KernelBackend):
             region.build(reg_idx[rorder], cv[inside][rorder], dup=None)
             # the operand in region coordinates
             if isinstance(A, Vector):
-                ti, tv = A.extract_tuples()
+                ti, tv = A.arrays()  # region is scratch: it may share them
             else:
                 ti = np.arange(I_res.size, dtype=_INDEX)
                 tv = np.broadcast_to(np.asarray(A), ti.shape)
             write_vector(region, ti, tv, mask=mask, accum=accum, desc=d)
             # splice the region back
-            ri, rv = region.extract_tuples()
+            ri, rv = region.arrays()
             zi = np.concatenate([ci[~inside], I_res[ri]])
             zv = np.concatenate([cv[~inside], rv])
             zorder = np.argsort(zi, kind="stable")
@@ -489,7 +493,7 @@ class OptimizedBackend(KernelBackend):
         if isinstance(A, Matrix):
             tr, tc, tv = _matrix_coo(A, d.transpose_a)
         elif isinstance(A, Vector):
-            ai, av = A.extract_tuples()
+            ai, av = A.arrays()
             if I_res.size == 1 and A.size == J_res.size:
                 tr, tc, tv = np.zeros(ai.size, dtype=_INDEX), ai, av
             else:

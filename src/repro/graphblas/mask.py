@@ -20,15 +20,24 @@ then
 * ``C_out(i,j) = C(i,j)``  where the mask rejects (i,j), REPLACE is off, and
   C has an entry;
 * absent otherwise.
+
+The vector write trusts its input instead of rebuilding it.  ``T_idx``
+must be sorted and duplicate-free (strictly increasing) and in range;
+that is checked in O(n) and never re-sorted.  The result arrays are
+installed into ``w`` as they are, so no kernel may pass an operand's
+own arrays through as ``T``: :func:`repro.graphblas.io_move.export_vector`
+hands ``w``'s buffers to callers who may write to them, and that must
+never change an operand.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import faults
 from .coords import coords_in, idx_in, match_coo, match_idx
 from .descriptor import Descriptor
-from .errors import DimensionMismatch, DomainMismatch
+from .errors import DimensionMismatch, DomainMismatch, IndexOutOfBounds, InvalidValue
 from .matrix import Matrix
 from .ops import BinaryOp
 from .types import BOOL
@@ -57,10 +66,9 @@ def mask_true_coords(mask: Matrix | None, desc: Descriptor):
 def mask_true_idx(mask: Vector | None, desc: Descriptor):
     if mask is None:
         return None
-    mi, mv = mask.extract_tuples()
+    mi, mv = mask.arrays()  # read-only: callers never write the result
     if not desc.structural_mask:
-        keep = BOOL.cast_array(mv)
-        mi = mi[keep]
+        mi = mi[BOOL.cast_array(mv)]
     return mi
 
 
@@ -158,7 +166,9 @@ def write_vector(
 ) -> Vector:
     """Merge an operation result ``t`` (sparse 1-D form) into ``w`` in place.
 
-    ``T_idx`` must be sorted and duplicate-free.
+    ``T_idx`` must be strictly increasing and inside ``w``; ``T_idx`` and
+    ``T_vals`` may become ``w``'s own arrays, so they must belong to no
+    operand (see the module docstring).
     """
     if mask is not None and mask.size != w.size:
         raise DimensionMismatch(f"mask size {mask.size} != output size {w.size}")
@@ -166,11 +176,18 @@ def write_vector(
         raise DomainMismatch("positional ops cannot be accumulators")
     T_idx = np.asarray(T_idx, dtype=_INDEX)
     T_vals = np.asarray(T_vals)
+    if T_idx.shape != T_vals.shape:
+        raise InvalidValue("index/value arrays must have identical length")
+    if T_idx.size:
+        if not np.all(T_idx[1:] > T_idx[:-1]):
+            raise InvalidValue("write indices must be sorted and duplicate-free")
+        if T_idx[0] < 0 or T_idx[-1] >= w.size:
+            raise IndexOutOfBounds("write index out of bounds")
 
     if accum is None:
         zi, zv = T_idx, w.dtype.cast_array(T_vals)
     else:
-        wi, wv = w.extract_tuples()
+        wi, wv = w.arrays()
         ia, ib, only_w, only_t = match_idx(wi, T_idx)
         both = accum.apply(wv[ia], T_vals[ib], w.dtype)
         zi = np.concatenate([wi[ia], wi[only_w], T_idx[only_t]])
@@ -183,22 +200,21 @@ def write_vector(
         admit_z = idx_in(zi, mt)
         if desc.complement_mask:
             admit_z = ~admit_z
-        out_i, out_v = zi[admit_z], zv[admit_z]
+        zi, zv = zi[admit_z], zv[admit_z]
         if not desc.replace:
-            wi, wv = w.extract_tuples()
-            in_mask = idx_in(wi, mt)
-            if desc.complement_mask:
-                in_mask = ~in_mask
-            keep = ~in_mask
+            wi, wv = w.arrays()
+            keep = idx_in(wi, mt)
+            if not desc.complement_mask:
+                keep = ~keep  # w entries outside the (effective) mask survive
             if np.any(keep):
-                out_i = np.concatenate([out_i, wi[keep]])
-                out_v = np.concatenate([out_v, wv[keep]])
-    else:
-        out_i, out_v = zi, zv
+                # the one merge that can break the order
+                zi = np.concatenate([zi, wi[keep]])
+                zv = np.concatenate([zv, wv[keep]])
+                order = np.argsort(zi, kind="stable")
+                zi, zv = zi[order], zv[order]
 
-    replaced = Vector(w.dtype, w.size)
-    replaced.build(out_i, out_v, dup=None)
-    w.indices = replaced.indices
-    w.values = replaced.values
-    w._pend_i, w._pend_v, w._pend_del = [], [], []
+    if faults.ENABLED:
+        faults.trip("build")
+    w.indices, w.values = zi, zv
+    w._log.clear()
     return w

@@ -42,10 +42,10 @@ class Monoid:
         return dtype.np_dtype.type(v) if dtype.builtin else v
 
     def terminal(self, dtype: Type):
-        """The annihilator in ``dtype``, or None if the monoid has none."""
-        if self._terminal is None:
-            return None
+        """The annihilator in ``dtype``, or None if the monoid has none there."""
         v = self._terminal(dtype) if callable(self._terminal) else self._terminal
+        if v is None:
+            return None
         return dtype.np_dtype.type(v) if dtype.builtin else v
 
     @property
@@ -125,6 +125,12 @@ def _max_identity(t: Type):
     return np.iinfo(t.np_dtype).min
 
 
+def _times_terminal(t: Type):
+    # 0 annihilates TIMES only where no NaN or inf exists: 0 * NaN and
+    # 0 * inf are NaN, so float TIMES has no terminal (as in SuiteSparse)
+    return 0 if t.is_integral else None
+
+
 MONOIDS: dict[str, Monoid] = {}
 
 
@@ -135,7 +141,7 @@ def _def_monoid(name, opname, identity, terminal=None):
 
 
 PLUS_MONOID = _def_monoid("PLUS", "PLUS", 0)
-TIMES_MONOID = _def_monoid("TIMES", "TIMES", 1, terminal=0)
+TIMES_MONOID = _def_monoid("TIMES", "TIMES", 1, terminal=_times_terminal)
 MIN_MONOID = _def_monoid("MIN", "MIN", _min_identity, terminal=_max_identity)
 MAX_MONOID = _def_monoid("MAX", "MAX", _max_identity, terminal=_min_identity)
 LOR_MONOID = _def_monoid("LOR", "LOR", False, terminal=True)

@@ -605,7 +605,7 @@ def plan_assign(C, A, I=ALL, J=ALL, *, mask=None, accum=None, desc=None) -> OpPl
         if isinstance(A, Vector):
             if A.size != I_res.size:
                 raise DimensionMismatch("assign input length != index count")
-            ai, _ = A.extract_tuples()
+            ai, _ = A.arrays()
             mapped = I_res[ai]
         else:
             mapped = I_res

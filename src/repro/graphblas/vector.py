@@ -294,9 +294,18 @@ class Vector:
 
     def extract_tuples(self) -> tuple[np.ndarray, np.ndarray]:
         """``GrB_Vector_extractTuples``: Omega(e) copy-out."""
+        idx, vals = self.arrays()
+        return idx.copy(), vals.copy()
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The assembled (indices, values) arrays themselves: O(1), no copy.
+
+        For kernels that only read an operand.  The caller must not write
+        to them, nor hand them on as another object's arrays.
+        """
         self._require_valid()
         self.wait()
-        return self.indices.copy(), self.values.copy()
+        return self.indices, self.values
 
     # -- whole-object operations ---------------------------------------------
 
