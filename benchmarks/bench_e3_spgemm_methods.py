@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from _common import emit, wall
-from repro.graphblas import Matrix, engine
+from repro.graphblas import Matrix
 from repro.graphblas import operations as ops
 from repro.graphblas.descriptor import Descriptor
 from repro.harness import Table
@@ -68,19 +68,14 @@ def test_e3_masked_dot_beats_unmasked_when_mask_sparse(rmat_medium):
     """The masked variant's payoff: with mask nnz << output nnz, computing
     only masked entries (dot) is faster than the full product.
 
-    Measured with the performance engine off: the claim compares the two
-    *methods*, and the engine's specialized kernels accelerate the
-    vectorized Gustavson expansion far more than the per-entry dot loop,
-    which would turn this into a test of the engine rather than of the
-    masked kernel's work bound.
+    Measured on the shipped engine path.  There the specialized kernels
+    speed up the vectorized Gustavson expansion far more than the
+    per-entry dot loop, and at RMAT-11 masked dot currently runs ~2x
+    slower than Gustavson, failing this bound (ROADMAP: masked dot).
     """
     A = _adjacency(rmat_medium)
-    engine.set_engine(False)
-    try:
-        t_full = wall(_run, A, "gustavson", repeat=2)
-        t_masked = wall(_run, A, "dot", mask=A, repeat=2)
-    finally:
-        engine.reset()
+    t_full = wall(_run, A, "gustavson", repeat=2)
+    t_masked = wall(_run, A, "dot", mask=A, repeat=2)
     # structural claim: the masked kernel must not be slower than computing
     # everything (it usually wins by a lot; keep the bound conservative)
     assert t_masked < 1.5 * t_full

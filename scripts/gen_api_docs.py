@@ -461,24 +461,23 @@ ENGINE_SECTION = """
 ## Performance engine
 
 `repro.graphblas.engine` is the hot-path acceleration layer: three
-orthogonal optimizations behind one switch, each bit-for-bit identical
-to the generic kernels it replaces (`GRAPHBLAS_ENGINE=off` or
-`engine.set_engine(False)` restores the baseline exactly, which is how
-the differential and parity suites cross-check it).
+mechanisms that are always on, each bit-for-bit identical to the
+generic kernels it stands in for (the parity suite cross-checks the
+specialized kernels against the generic ones, and parallel against
+serial).  Its one setting is the worker count.
 
 ```python
 from repro.graphblas import engine
 
-engine.set_engine(True, workers=4)      # or GRAPHBLAS_ENGINE_WORKERS=4
+engine.set_workers(4)                   # or GRAPHBLAS_ENGINE_WORKERS=4
 engine.kernel_cache_stats()             # hits / misses / evictions
-engine.set_engine(False)                # bit-identical baseline
 ```
 
 * **Specialized semiring kernels** — `engine.kernel_for(semiring,
   out_type, ...)` compiles a `SpecializedKernel` binding the add/mult
   ufuncs, output cast, and terminal condition as closures, keyed on
   `(add, mult, out_type, mask kind, accum, method)` in an LRU cache
-  (`GRAPHBLAS_ENGINE_CACHE`, default 64 entries).  The Gustavson
+  of `engine.CACHE_SIZE` (64) entries.  The Gustavson
   expansion, the dot-product loop, and push/pull mxv all consult the
   cache; non-builtin or positional operators fall back to the generic
   path (`unspecializable` in the stats).
@@ -493,22 +492,22 @@ engine.set_engine(False)                # bit-identical baseline
   concatenated block outputs equal the serial result bit for bit) and
   run on a shared thread pool.  The requested worker count
   (`Descriptor(nthreads=...)` / `GxB_NTHREADS`, else
-  `GRAPHBLAS_ENGINE_WORKERS`) is submitted to the execution governor,
-  which clamps it to what the memory budget funds — degrading to
-  serial, never rejecting.  Per-block timings appear as
-  `engine.block` telemetry spans.
+  `engine.set_workers` / `GRAPHBLAS_ENGINE_WORKERS`) is submitted to
+  the execution governor, which clamps it to what the memory budget
+  funds and to the context's `max_workers` cap — degrading to serial,
+  never rejecting.  Per-block timings appear as `engine.block`
+  telemetry spans.
 
-Supporting fast paths ride the same switch: `wait()` skips the sort
+Supporting fast paths: `wait()` skips the sort
 and merge when the pending log is already sorted, unique, and
 zombie-free (`fast_path` field on the `assembly` telemetry decision);
 `from_coo` detects presorted input and otherwise sorts once on a fused
 `major * n_minor + minor` key; and the planner memoizes string →
 operator resolution (`plan.resolver_cache_stats()`).
 
-`benchmarks/bench_parallel_engine.py` measures the engine-on vs
-engine-off ratio end to end and asserts result parity; the committed
-`BENCH_PR5.json` records the RMAT-14 margins.  The C API exposes the
-engine as `GxB_Engine_set` / `GxB_Engine_get`.
+`BENCH_PR5.json` records the RMAT-14 margins the engine measured
+against the generic kernels when it was introduced.  From the C API,
+`GxB_NTHREADS` on a descriptor sets the worker count per call.
 """
 
 
@@ -720,7 +719,9 @@ original exception as `__cause__` — when every rung is exhausted.
    (`backend="optimized"`, then `fallbacks=("reference", "scipy")`),
    still returning the exact answer.
 4. **degradation tiers** — queue pressure walks `full` → `lite`
-   (performance engine off) → `reference` (reference backend first) at
+   (the request's kernels run serially via its execution context's
+   `max_workers=1`; other requests are unaffected) → `reference`
+   (reference backend first, also serial) at
    the `lite_watermark` / `reference_watermark` load fractions;
    results stay bit-identical because every tier runs the same
    validated kernels.  Past that, admission sheds (`Overloaded`).

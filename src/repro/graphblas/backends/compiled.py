@@ -176,7 +176,7 @@ class CompiledBackend(KernelBackend):
             return empty
 
         workers = 1
-        if engine.PARALLEL and total >= engine.MIN_PARALLEL_FLOPS:
+        if total >= engine.MIN_PARALLEL_FLOPS:
             requested = engine.requested_workers(nthreads)
             if requested > 1:
                 # per block: SPA mark+slot, plus its share of the output

@@ -19,7 +19,7 @@ import numpy as np
 # attribute — fetch the module itself so monkeypatched thresholds are seen
 _mxv_mod = importlib.import_module(".mxv", __package__.rsplit(".", 1)[0])
 
-from .. import engine, governor, telemetry
+from .. import governor, telemetry
 from ..coords import coords_in, idx_in, match_coo, match_idx
 from ..descriptor import Descriptor
 from ..mask import mask_true_coords, mask_true_idx, write_matrix, write_vector
@@ -124,9 +124,9 @@ class OptimizedBackend(KernelBackend):
             mask=plan.mask,
             accum=plan.accum,
             desc=d,
-            # mxm_coo's contract is sorted-unique COO output; with the
-            # engine on, the rebuild may trust that and skip its sort pass
-            sorted_unique=engine.ENABLED,
+            # mxm_coo's contract is sorted-unique COO output, so the
+            # rebuild may trust that and skip its sort pass
+            sorted_unique=True,
         )
 
     def _matvec(self, plan):
@@ -306,8 +306,7 @@ class OptimizedBackend(KernelBackend):
         (A,) = plan.args
         C = plan.out
         if (
-            engine.DUAL_FORMAT
-            and plan.params["transposed"]
+            plan.params["transposed"]
             and plan.mask is None
             and plan.accum is None
             and C is not A

@@ -111,8 +111,6 @@ __all__ = [
     "GxB_DEADLINE_EXCEEDED",
     "GxB_CANCELLED",
     "GxB_Context_new",
-    "GxB_Engine_set",
-    "GxB_Engine_get",
     "GxB_Compiled_set",
     "GxB_Compiled_get",
     "GxB_Spill_set",
@@ -183,7 +181,6 @@ def _snapshot(obj):
             obj.nrows,
             obj.ncols,
             obj._valid,
-            obj._keep_both,
             obj._epoch,
             obj._alt_epoch,
         )
@@ -214,7 +211,6 @@ def _restore(obj, snap) -> None:
             obj.nrows,
             obj.ncols,
             obj._valid,
-            obj._keep_both,
             obj._epoch,
             obj._alt_epoch,
         ) = snap
@@ -691,46 +687,6 @@ def GxB_Backend_get() -> str:
     from . import backends as _backends
 
     return _backends.current_backend_name()
-
-
-def GxB_Engine_set(enabled=None, **kwargs) -> Info:
-    """``GxB_Global_Option_set``-style performance-engine control.
-
-    ``GxB_Engine_set(False)`` disables every engine mechanism (kernel
-    specialization, dual-format twins, parallel blocks) so results can be
-    cross-checked bit for bit against the generic paths; keyword arguments
-    (``kernel_cache``, ``dual_format``, ``parallel``, ``workers``,
-    ``cache_size``) toggle individual mechanisms — see
-    :func:`repro.graphblas.engine.set_engine`.
-    """
-    from . import engine as _engine
-
-    try:
-        _engine.set_engine(enabled, **kwargs)
-    except (GraphBLASError, TypeError, ValueError) as exc:
-        if isinstance(exc, GraphBLASError):
-            return exc.info
-        _tls.last_error = str(exc)
-        return Info.INVALID_VALUE
-    return GrB_SUCCESS
-
-
-def GxB_Engine_get() -> dict:
-    """``GxB_Global_Option_get``-style: the engine configuration and the
-    kernel-cache counters, as one plain dict."""
-    from . import engine as _engine
-
-    cfg = _engine.get_config()
-    out = {
-        "enabled": cfg.enabled,
-        "kernel_cache": cfg.kernel_cache,
-        "dual_format": cfg.dual_format,
-        "parallel": cfg.parallel,
-        "workers": cfg.workers,
-        "cache_size": cfg.cache_size,
-    }
-    out["cache"] = _engine.kernel_cache_stats()
-    return out
 
 
 def GxB_Compiled_set(toolchain=None, *, cache_size=None) -> Info:

@@ -10,30 +10,25 @@ all three mechanisms for the optimized backend:
 
 1. **Kernel specialization cache** — :func:`kernel_for` closure-compiles
    a :class:`SpecializedKernel` for a ``(semiring, dtype, mask kind,
-   accum, method)`` combination and memoizes it in an LRU, so hot
-   semirings get pre-bound numpy ufuncs instead of generic ``Op.apply``
-   dispatch.  Specialized kernels replicate the generic numerics
-   *bit for bit* (same cast points, same reduction ufuncs), which the
-   differential backend cross-checks.
-2. **Dual-orientation storage** — when :data:`DUAL_FORMAT` is on,
-   ``Matrix._oriented`` caches the opposite-orientation twin with
-   mutation-epoch invalidation, making pull-phase ``mxv``/``vxm`` and
-   ``transpose`` O(1) after first use.
+   accum, method)`` combination and memoizes it in an LRU of
+   :data:`CACHE_SIZE` entries, so hot semirings get pre-bound numpy
+   ufuncs instead of generic ``Op.apply`` dispatch.  Specialized kernels
+   replicate the generic numerics *bit for bit* (same cast points, same
+   reduction ufuncs), which the differential backend cross-checks.
+2. **Dual-orientation storage** — ``Matrix._oriented`` caches the
+   opposite-orientation twin with mutation-epoch invalidation, making
+   pull-phase ``mxv``/``vxm`` and ``transpose`` O(1) after first use.
 3. **Row-blocked parallelism** — a shared, lazily created
    :class:`~concurrent.futures.ThreadPoolExecutor` runs row blocks of
    Gustavson SpGEMM / pull ``mxv``; worker counts are admitted by the
    execution governor (:func:`repro.graphblas.governor.admit_workers`).
 
-Everything is disableable: set ``GRAPHBLAS_ENGINE=off`` (or call
-``set_engine(False)``) and every kernel falls back to the generic path,
-so engine-on vs engine-off results can be compared bit for bit.
-
-Env knobs (read once at import; :func:`reset` re-reads them):
-
-* ``GRAPHBLAS_ENGINE`` — ``on`` (default) / ``off``.
-* ``GRAPHBLAS_ENGINE_WORKERS`` — thread pool size for row-blocked
-  kernels (default 4, minimum 1).
-* ``GRAPHBLAS_ENGINE_CACHE`` — kernel LRU capacity (default 64).
+All three are always on.  The one setting is the worker count:
+``GRAPHBLAS_ENGINE_WORKERS`` (read at import and by :func:`reset`;
+default 4, minimum 1) or :func:`set_workers`.  A descriptor's
+``GxB_NTHREADS`` overrides it per call, and an
+:class:`~repro.graphblas.governor.ExecutionContext` may cap it per
+request (``max_workers``).
 """
 
 from __future__ import annotations
@@ -41,18 +36,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import telemetry
-from .envutil import env_int, env_on_off
+from .envutil import env_int
 
 __all__ = [
-    "EngineConfig",
     "SpecializedKernel",
-    "get_config",
-    "set_engine",
+    "set_workers",
     "reset",
     "kernel_for",
     "kernel_cache_stats",
@@ -66,7 +58,8 @@ __all__ = [
 ]
 
 DEFAULT_WORKERS = 4
-DEFAULT_CACHE_SIZE = 64
+#: Kernel LRU capacity.
+CACHE_SIZE = 64
 
 # Below these work sizes the thread-pool handoff costs more than it saves.
 MIN_PARALLEL_FLOPS = 1 << 18
@@ -79,101 +72,25 @@ MIN_PARALLEL_TILES = 2
 KEY_LIMIT = 2**62
 
 
-@dataclass
-class EngineConfig:
-    """Snapshot of the engine's tunables (see module docstring)."""
-
-    enabled: bool
-    kernel_cache: bool
-    dual_format: bool
-    twin_patch: bool
-    parallel: bool
-    workers: int
-    cache_size: int
+def _workers_from_env() -> int:
+    return env_int("GRAPHBLAS_ENGINE_WORKERS", DEFAULT_WORKERS, minimum=1)
 
 
-def _config_from_env() -> EngineConfig:
-    on = env_on_off("GRAPHBLAS_ENGINE", True)
-    workers = env_int("GRAPHBLAS_ENGINE_WORKERS", DEFAULT_WORKERS, minimum=1)
-    cache_size = env_int("GRAPHBLAS_ENGINE_CACHE", DEFAULT_CACHE_SIZE, minimum=1)
-    return EngineConfig(
-        enabled=on,
-        kernel_cache=on,
-        dual_format=on,
-        twin_patch=env_on_off("GRAPHBLAS_ENGINE_TWIN_PATCH", True),
-        parallel=on,
-        workers=workers,
-        cache_size=cache_size,
-    )
+#: Engine-wide default worker count for row-blocked kernels.
+WORKERS = _workers_from_env()
 
 
-_config = _config_from_env()
-
-# Module-level fast flags mirrored from _config so hot paths pay one
-# attribute load, not a config-object traversal.
-ENABLED = _config.enabled
-KERNEL_CACHE = _config.kernel_cache
-DUAL_FORMAT = _config.dual_format
-TWIN_PATCH = _config.twin_patch
-PARALLEL = _config.parallel
-WORKERS = _config.workers
-
-
-def _apply_config() -> None:
-    global ENABLED, KERNEL_CACHE, DUAL_FORMAT, TWIN_PATCH, PARALLEL, WORKERS
-    ENABLED = _config.enabled
-    KERNEL_CACHE = _config.enabled and _config.kernel_cache
-    DUAL_FORMAT = _config.enabled and _config.dual_format
-    TWIN_PATCH = _config.enabled and _config.twin_patch
-    PARALLEL = _config.enabled and _config.parallel
-    WORKERS = _config.workers
-
-
-def get_config() -> EngineConfig:
-    """The live engine configuration (mutate via :func:`set_engine`)."""
-    return _config
-
-
-def set_engine(
-    enabled: bool | None = None,
-    *,
-    kernel_cache: bool | None = None,
-    dual_format: bool | None = None,
-    twin_patch: bool | None = None,
-    parallel: bool | None = None,
-    workers: int | None = None,
-    cache_size: int | None = None,
-) -> EngineConfig:
-    """Reconfigure the engine; ``None`` leaves a field unchanged.
-
-    ``set_engine(False)`` turns every mechanism off (the generic code
-    paths run); ``set_engine(True)`` turns them back on.  Individual
-    mechanisms can be toggled while the engine stays on.
-    """
-    if enabled is not None:
-        _config.enabled = bool(enabled)
-    if kernel_cache is not None:
-        _config.kernel_cache = bool(kernel_cache)
-    if dual_format is not None:
-        _config.dual_format = bool(dual_format)
-    if twin_patch is not None:
-        _config.twin_patch = bool(twin_patch)
-    if parallel is not None:
-        _config.parallel = bool(parallel)
-    if workers is not None:
-        _config.workers = max(1, int(workers))
-    if cache_size is not None:
-        _config.cache_size = max(1, int(cache_size))
-        _trim_cache()
-    _apply_config()
-    return _config
+def set_workers(n: int) -> int:
+    """Set the engine-wide worker count (floored at 1); returns it."""
+    global WORKERS
+    WORKERS = max(1, int(n))
+    return WORKERS
 
 
 def reset() -> None:
     """Re-read the environment and drop all cached state (for tests)."""
-    global _config
-    _config = _config_from_env()
-    _apply_config()
+    global WORKERS
+    WORKERS = _workers_from_env()
     clear_kernel_cache()
     _shutdown_executor()
 
@@ -269,8 +186,6 @@ def kernel_for(semiring, out_type, mask_kind="none", accum=None, method="gustavs
     names are unique, so they key the cache; user-defined ops are never
     cached.
     """
-    if not KERNEL_CACHE:
-        return None
     if not _specializable(semiring, out_type):
         _cache_stats["unspecializable"] += 1
         return None
@@ -292,7 +207,7 @@ def kernel_for(semiring, out_type, mask_kind="none", accum=None, method="gustavs
         _kernel_cache[key] = kern
         _cache_stats["misses"] += 1
         evicted = 0
-        while len(_kernel_cache) > _config.cache_size:
+        while len(_kernel_cache) > CACHE_SIZE:
             _kernel_cache.popitem(last=False)
             evicted += 1
         _cache_stats["evictions"] += evicted
@@ -314,7 +229,7 @@ def kernel_cache_stats() -> dict:
     with _cache_lock:
         stats = dict(_cache_stats)
         stats["size"] = len(_kernel_cache)
-        stats["capacity"] = _config.cache_size
+        stats["capacity"] = CACHE_SIZE
     return stats
 
 
@@ -325,13 +240,6 @@ def clear_kernel_cache() -> None:
             _cache_stats[k] = 0
 
 
-def _trim_cache() -> None:
-    with _cache_lock:
-        while len(_kernel_cache) > _config.cache_size:
-            _kernel_cache.popitem(last=False)
-            _cache_stats["evictions"] += 1
-
-
 # -- shared thread pool -------------------------------------------------------
 
 _pool_lock = threading.Lock()
@@ -340,11 +248,15 @@ _executor_workers = 0
 
 
 def _get_executor(workers: int) -> ThreadPoolExecutor:
+    """The shared pool, grown to at least ``workers`` threads.
+
+    Growing swaps in a new executor without shutting the old one down:
+    another caller may have fetched it and not yet submitted its blocks.
+    The old pool's idle threads exit once its last holder drops it.
+    """
     global _executor, _executor_workers
     with _pool_lock:
         if _executor is None or _executor_workers < workers:
-            if _executor is not None:
-                _executor.shutdown(wait=True)
             _executor = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="gb-engine"
             )

@@ -130,9 +130,8 @@ def env_path(var: str, default=None):
 def env_on_off(var: str, default: bool) -> bool:
     """Read an ``on``/``off`` switch env var as a bool.
 
-    The common pattern behind ``GRAPHBLAS_ENGINE`` / ``GRAPHBLAS_SPILL``
-    / ``GRAPHBLAS_OBS``: unset or malformed values warn once and fall
-    back to ``default``.
+    The common pattern behind ``GRAPHBLAS_SPILL`` / ``GRAPHBLAS_OBS``:
+    unset or malformed values warn once and fall back to ``default``.
     """
     fallback = "on" if default else "off"
     return env_choice(var, fallback, ("on", "off")) == "on"

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
 from .errors import InvalidObject, InvalidValue
 from .monoid import Monoid
 from .types import Type
@@ -310,12 +309,9 @@ class SparseStore:
             raise InvalidValue("COO arrays must have identical length")
         if assume_sorted_unique or not major.size:
             order = None
-        elif engine.ENABLED:
-            # engine path: presorted detection + single composite-key sort
-            order = coo_sort_order(major, minor, n_major, n_minor)
         else:
-            # baseline path: unconditional stable lexsort (pre-engine code)
-            order = np.lexsort((minor, major))
+            # presorted detection + single composite-key sort
+            order = coo_sort_order(major, minor, n_major, n_minor)
         if order is not None:
             major, minor, values = major[order], minor[order], values[order]
             # duplicate pairs are adjacent after the sort

@@ -338,6 +338,10 @@ class ExecutionContext:
         Backend names tried, in order, for degraded plans; a backend must
         ``supports()`` the plan to be chosen (its own fallback chain is
         *not* honored for degraded plans — that would defeat the budget).
+    max_workers:
+        Cap on the engine's parallel block count for kernels run in this
+        scope (None = the engine's own worker count).  Requests in other
+        threads are unaffected.
 
     Contexts nest (a thread-local stack; the innermost governs) and are
     single-use: re-entering a context raises.
@@ -351,13 +355,16 @@ class ExecutionContext:
                  degrade_backends=("reference", "scipy"),
                  spill: bool | None = None,
                  spill_dir=None,
-                 spill_budget: int | None = None) -> None:
+                 spill_budget: int | None = None,
+                 max_workers: int | None = None) -> None:
         if memory_budget is not None and memory_budget < 0:
             raise InvalidValue(f"memory_budget must be >= 0, got {memory_budget}")
         if deadline is not None and deadline < 0:
             raise InvalidValue(f"deadline must be >= 0, got {deadline}")
         if spill_budget is not None and spill_budget < 0:
             raise InvalidValue(f"spill_budget must be >= 0, got {spill_budget}")
+        if max_workers is not None and max_workers < 1:
+            raise InvalidValue(f"max_workers must be >= 1, got {max_workers}")
         self.memory_budget = None if memory_budget is None else int(memory_budget)
         self.deadline = None if deadline is None else float(deadline)
         self.token = cancel if cancel is not None else CancellationToken()
@@ -367,6 +374,7 @@ class ExecutionContext:
         self.spill = None if spill is None else bool(spill)
         self.spill_dir = spill_dir
         self.spill_budget = None if spill_budget is None else int(spill_budget)
+        self.max_workers = None if max_workers is None else int(max_workers)
         self.deadline_at: float | None = None
         self.stats = {
             "admitted": 0, "rejected": 0, "degraded": 0, "tiled": 0,
@@ -535,19 +543,22 @@ def admit_workers(requested: int, per_block_bytes: int, op: str = "mxm") -> int:
     Each in-flight row block of the engine's parallel kernels holds
     roughly ``per_block_bytes`` of expansion buffers, so the admitted
     count keeps ``workers * per_block_bytes`` within the context's
-    ``memory_budget``.  Never admits below one worker — serial execution
-    is always allowed (the *plan* was already admitted as a whole; this
-    only throttles the transient parallel working set on top of it).
-    Un-governed threads get the requested count unchanged.
+    ``memory_budget``, and never exceeds its ``max_workers``.  Never
+    admits below one worker — serial execution is always allowed (the
+    *plan* was already admitted as a whole; this only throttles the
+    transient parallel working set on top of it).  Un-governed threads
+    get the requested count unchanged.
     """
     requested = max(1, int(requested))
     ctx = current()
     if ctx is None:
         return requested
     ctx.check()
-    if ctx.memory_budget is None or per_block_bytes <= 0:
-        return requested
-    admitted = max(1, min(requested, ctx.memory_budget // int(per_block_bytes)))
+    admitted = requested
+    if ctx.max_workers is not None:
+        admitted = min(admitted, ctx.max_workers)
+    if ctx.memory_budget is not None and per_block_bytes > 0:
+        admitted = max(1, min(admitted, ctx.memory_budget // int(per_block_bytes)))
     if telemetry.ENABLED and admitted != requested:
         telemetry.decision(
             "engine.workers",

@@ -23,7 +23,7 @@ import time as _time
 
 import numpy as np
 
-from . import context, engine, faults, governor, telemetry, updatelog
+from . import context, faults, governor, telemetry, updatelog
 from .errors import (
     IndexOutOfBounds,
     InvalidValue,
@@ -74,7 +74,6 @@ class Matrix:
         "_deltas",
         "_track_deltas",
         "_valid",
-        "_keep_both",
         "_epoch",
         "_alt_epoch",
         "__weakref__",
@@ -101,10 +100,9 @@ class Matrix:
         self._deltas: list[DeltaBatch] = []
         self._track_deltas = False
         self._valid = True
-        self._keep_both = False
         # Mutation epoch for dual-format cache invalidation: bumped on
         # every primary-store change; the cached twin is only served while
-        # _alt_epoch matches (engine.DUAL_FORMAT mode).
+        # _alt_epoch matches.
         self._epoch = 0
         self._alt_epoch = -1
 
@@ -504,16 +502,12 @@ class Matrix:
                     hyper=hyper,
                 )
 
-        # Patch the cached twin from the same delta instead of dropping it
-        # (engine.TWIN_PATCH): the alt store flips the pre-window epoch, so
-        # killing the same coordinates and merging the same insertions in
-        # its orientation re-synchronizes it without an O(e log e) rebuild.
+        # Patch the cached twin from the same delta instead of dropping it:
+        # the alt store flips the pre-window epoch, so killing the same
+        # coordinates and merging the same insertions in its orientation
+        # re-synchronizes it without an O(e log e) rebuild.
         new_alt = None
-        if (
-            self._alt is not None
-            and (self._keep_both or engine.DUAL_FORMAT)
-            and engine.TWIN_PATCH
-        ):
+        if self._alt is not None:
             new_alt = self._patched_alt(li, lj, ins, lv)
 
         # atomic commit: nothing is touched until assembly fully succeeded,
@@ -723,9 +717,12 @@ class Matrix:
         return self
 
     def keep_both_orientations(self, flag: bool = True) -> "Matrix":
-        """Keep both CSR and CSC copies alive (GraphBLAST's 2x-memory mode)."""
-        self._keep_both = bool(flag)
-        if not flag:
+        """Build the opposite-orientation twin now (GraphBLAST's 2x-memory
+        mode), or drop it when ``flag`` is false.  The twin is cached on
+        first use either way; this only moves the conversion up front."""
+        if flag:
+            self._oriented(self._store.orientation.flipped)
+        else:
             self._alt = None
         return self
 
@@ -759,24 +756,23 @@ class Matrix:
         if (
             self._alt is not None
             and self._alt.orientation == orientation
-            and (self._keep_both or self._alt_epoch == self._epoch)
+            and self._alt_epoch == self._epoch
         ):
             return self._alt
+        # persistent dual-orientation twin: invalidated by nulling on every
+        # mutation AND by the epoch check (belt and braces), so a stale twin
+        # can never be served
         alt = self._store.with_orientation(orientation)
-        if self._keep_both or engine.DUAL_FORMAT:
-            # persistent dual-orientation twin: invalidated by nulling on
-            # every mutation AND by the epoch check (belt and braces), so
-            # a stale twin can never be served
-            self._alt = alt
-            self._alt_epoch = self._epoch
-            if telemetry.ENABLED:
-                telemetry.decision(
-                    "engine.twin",
-                    object="matrix",
-                    orientation=orientation.name.lower(),
-                    nvals=int(alt.nvals),
-                    epoch=self._epoch,
-                )
+        self._alt = alt
+        self._alt_epoch = self._epoch
+        if telemetry.ENABLED:
+            telemetry.decision(
+                "engine.twin",
+                object="matrix",
+                orientation=orientation.name.lower(),
+                nvals=int(alt.nvals),
+                epoch=self._epoch,
+            )
         return alt
 
     # -- whole-object operations -------------------------------------------
@@ -787,7 +783,6 @@ class Matrix:
         self.wait()
         out = Matrix(self.dtype, self.nrows, self.ncols)
         out._store = self._store.copy()
-        out._keep_both = self._keep_both
         return out
 
     def clear(self) -> "Matrix":

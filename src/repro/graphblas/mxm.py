@@ -215,10 +215,9 @@ def _mxm_gustavson(
     # lexsort's two passes.  Store invariants guarantee i < n_major and
     # j < n_minor, so the key is collision-free whenever it fits in int64.
     key_mult = None
-    if engine.ENABLED:
-        n_minor = b_rows.n_minor
-        if 0 < n_minor and a_rows.n_major <= engine.KEY_LIMIT // n_minor:
-            key_mult = np.int64(n_minor)
+    n_minor = b_rows.n_minor
+    if 0 < n_minor and a_rows.n_major <= engine.KEY_LIMIT // n_minor:
+        key_mult = np.int64(n_minor)
 
     # Row blocks for the shared thread pool: only specializable semirings
     # go parallel (their inner loops are pure-numpy and thread-safe), and
@@ -226,7 +225,7 @@ def _mxm_gustavson(
     # governor admits the worker count against its memory budget — each
     # in-flight block holds one chunk's expansion buffers.
     workers = 1
-    if engine.PARALLEL and kern is not None and total >= engine.MIN_PARALLEL_FLOPS:
+    if kern is not None and total >= engine.MIN_PARALLEL_FLOPS:
         requested = engine.requested_workers(nthreads)
         if requested > 1:
             per_block = GUSTAVSON_CHUNK_FLOPS * (48 + out_type.np_dtype.itemsize)

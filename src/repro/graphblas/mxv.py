@@ -238,11 +238,7 @@ def spmv_pull(
         u_v = u_dense[minor]
         vals = mult.apply(a_vals, u_v) if matrix_first else mult.apply(u_v, a_vals)
 
-    if (
-        engine.PARALLEL
-        and kern is not None
-        and major.size >= engine.MIN_PARALLEL_ENTRIES
-    ):
+    if kern is not None and major.size >= engine.MIN_PARALLEL_ENTRIES:
         requested = engine.requested_workers(nthreads)
         if requested > 1:
             per_block = (major.size // requested + 1) * (16 + out_type.np_dtype.itemsize)

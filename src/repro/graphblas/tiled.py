@@ -660,7 +660,7 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
     mult = sr.mult
     kern = engine.kernel_for(sr, out_type, method="gustavson")
     key_mult = None
-    if engine.ENABLED and 0 < C.ncols and C.nrows <= engine.KEY_LIMIT // max(C.ncols, 1):
+    if 0 < C.ncols and C.nrows <= engine.KEY_LIMIT // C.ncols:
         key_mult = np.int64(C.ncols)
     td = A.tile_dim
 
@@ -718,11 +718,7 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
                 if not tasks:
                     continue
                 workers = 1
-                if (
-                    engine.PARALLEL
-                    and kern is not None
-                    and len(tasks) >= engine.MIN_PARALLEL_TILES
-                ):
+                if kern is not None and len(tasks) >= engine.MIN_PARALLEL_TILES:
                     requested = engine.requested_workers(None)
                     if requested > 1:
                         per_block = max(

@@ -242,21 +242,17 @@ class Graph:
         return Graph(B, self.kind)
 
     def enable_dual_storage(self) -> "Graph":
-        """Keep CSR and CSC twins of A (and its cached transpose) alive.
+        """Build the CSR and CSC twins of A (and its cached transpose) now.
 
         This is GraphBLAST's performance-oriented storage (section II.E,
         Figure 3): push traversal reads one orientation, pull the other, at
-        2x memory.  Without it each push/pull switch pays an O(e log e)
-        conversion.
+        2x memory.  The engine caches each twin on first use anyway; this
+        moves the O(e log e) conversion out of the first push/pull switch.
         """
         self.A.keep_both_orientations(True)
-        self.A.by_col()
-        self.A.by_row()
         AT = self.AT
         if AT is not self.A:
             AT.keep_both_orientations(True)
-            AT.by_col()
-            AT.by_row()
         return self
 
     def structure(self, dtype="BOOL") -> Matrix:

@@ -66,7 +66,8 @@ class ServeConfig:
     backend: str = "optimized"
     fallbacks: tuple = ("reference", "scipy")
     #: queue-load fractions at which the degradation ladder advances:
-    #: >= lite -> engine off; >= reference -> reference backend.
+    #: >= lite -> serial kernels for that request; >= reference ->
+    #: reference backend.
     lite_watermark: float = 0.60
     reference_watermark: float = 0.85
     #: base seed for per-request retry backoff schedules.

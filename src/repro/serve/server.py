@@ -31,8 +31,9 @@ a worker thread pool.  The robustness spine:
   transparently fail over to the reference/scipy chain, and half-open
   probes restore the optimized backend once it recovers.
 * **Graceful degradation** — queue load selects an execution tier:
-  ``full`` -> ``lite`` (performance engine off) -> ``reference``
-  (spec-literal backend) -> shed at admission.
+  ``full`` -> ``lite`` (the request's kernels run serially, capped by
+  its own execution context) -> ``reference`` (spec-literal backend, also
+  serial) -> shed at admission.
 
 Health/readiness probes, cooperative drain/shutdown, and serve-level
 metrics (``serve_requests_total{tenant,algo,outcome}``, queue-depth and
@@ -45,11 +46,10 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 from .. import obs
-from ..graphblas import backends, engine, faults, governor, telemetry
+from ..graphblas import backends, faults, governor, telemetry
 from ..graphblas.errors import (
     ApiError,
     BudgetExceeded,
@@ -249,41 +249,6 @@ class QueryTicket:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = self.outcome or ("queued" if self.t_start is None else "running")
         return f"<QueryTicket #{self.seq} {self.algo} {self.tenant!r} {state}>"
-
-
-# --------------------------------------------------------------------------
-# engine-off degradation (process-wide, refcounted)
-# --------------------------------------------------------------------------
-
-_engine_lock = threading.Lock()
-_engine_off_depth = 0
-_engine_was_on = False
-
-
-@contextmanager
-def _engine_off():
-    """Run the enclosed query with the performance engine disabled.
-
-    The engine switch is process-global, so concurrent tiers refcount it:
-    the first degraded query turns the engine off, the last one back on.
-    Results are bit-identical either way (PR 5's guarantee); the tier
-    sheds the engine's transient working sets (parallel block buffers,
-    twin materialization) under load.
-    """
-    global _engine_off_depth, _engine_was_on
-    with _engine_lock:
-        if _engine_off_depth == 0:
-            _engine_was_on = engine.get_config().enabled
-            if _engine_was_on:
-                engine.set_engine(False)
-        _engine_off_depth += 1
-    try:
-        yield
-    finally:
-        with _engine_lock:
-            _engine_off_depth -= 1
-            if _engine_off_depth == 0 and _engine_was_on:
-                engine.set_engine(True)
 
 
 # --------------------------------------------------------------------------
@@ -771,11 +736,12 @@ class GraphServer:
             max_delay=self.config.max_delay_s, jitter=1.0,
             seed=req.kernel_seed,
         )
-        engine_cm = _engine_off() if tier in ("lite", "reference") \
-            else nullcontext()
-        with engine_cm, backends.backend(be_name), governor.ExecutionContext(
+        # degraded tiers run serially: this request only, no global toggle
+        max_workers = 1 if tier in ("lite", "reference") else None
+        with backends.backend(be_name), governor.ExecutionContext(
             memory_budget=budget, deadline=remaining, cancel=req.token,
             retry=kernel_retry, degrade=policy.degrade, spill=spill,
+            max_workers=max_workers,
         ):
             if faults.ENABLED:
                 faults.trip(_SERVE_POINT)

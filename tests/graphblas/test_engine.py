@@ -1,10 +1,14 @@
 """The hot-path performance engine: specialization, twins, parallel blocks.
 
 The engine's contract is *bit-for-bit* equality with the generic paths:
-every test here compares engine-on against engine-off (or parallel
-against serial) on identical inputs and asserts exact array equality,
-dtypes included.
+the parity tests compare specialized kernels against the generic ones
+(``kernel_for`` stubbed to ``None``), or parallel against serial
+(``set_workers(1)``), on identical inputs and assert exact array
+equality, dtypes included.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -39,46 +43,47 @@ def _same(p, q):
         assert np.array_equal(x, y, equal_nan=True)
 
 
+def _specialized_vs_generic(run):
+    """``run()`` with the engine's specialized kernels, then again with
+    ``kernel_for`` stubbed out so every kernel takes its generic path."""
+    specialized = run()
+    mp = pytest.MonkeyPatch()
+    mp.setattr(engine, "kernel_for", lambda *args, **kwargs: None)
+    try:
+        generic = run()
+    finally:
+        mp.undo()
+    return specialized, generic
+
+
+def _transposed_tuples(A):
+    """Oracle for ``A'``: the entries of A with coordinates swapped, in
+    row-major order."""
+    i, j, v = A.extract_tuples()
+    order = np.lexsort((i, j))
+    return j[order], i[order], v[order]
+
+
 # -- configuration -----------------------------------------------------------
 
 
 class TestConfig:
     def test_defaults_on(self):
-        cfg = engine.get_config()
-        assert cfg.enabled and cfg.kernel_cache and cfg.dual_format
-        assert cfg.workers == engine.DEFAULT_WORKERS
-        assert engine.ENABLED and engine.KERNEL_CACHE and engine.DUAL_FORMAT
+        from repro.graphblas.semiring import semiring
+        from repro.graphblas.types import FP64
 
-    def test_master_switch_disables_all_mechanisms(self):
-        engine.set_engine(False)
-        assert not engine.ENABLED
-        assert not engine.KERNEL_CACHE
-        assert not engine.DUAL_FORMAT
-        assert not engine.PARALLEL
-        engine.set_engine(True)
-        assert engine.ENABLED and engine.KERNEL_CACHE
-
-    def test_individual_toggles(self):
-        engine.set_engine(dual_format=False)
-        assert engine.ENABLED and not engine.DUAL_FORMAT
-        engine.set_engine(parallel=False)
-        assert not engine.PARALLEL and engine.KERNEL_CACHE
-
-    def test_env_off(self, monkeypatch):
-        monkeypatch.setenv("GRAPHBLAS_ENGINE", "off")
-        engine.reset()
-        assert not engine.ENABLED and not engine.DUAL_FORMAT
+        assert engine.WORKERS == engine.DEFAULT_WORKERS
+        assert engine.kernel_for(semiring("PLUS_TIMES"), FP64) is not None
 
     def test_env_workers_and_cache(self, monkeypatch):
         monkeypatch.setenv("GRAPHBLAS_ENGINE_WORKERS", "7")
-        monkeypatch.setenv("GRAPHBLAS_ENGINE_CACHE", "3")
         engine.reset()
-        cfg = engine.get_config()
-        assert cfg.workers == 7 and cfg.cache_size == 3
+        assert engine.WORKERS == 7
+        assert engine.kernel_cache_stats()["capacity"] == engine.CACHE_SIZE == 64
 
     def test_workers_floor_is_one(self):
-        cfg = engine.set_engine(workers=0)
-        assert cfg.workers == 1
+        assert engine.set_workers(0) == 1
+        assert engine.WORKERS == 1
 
 
 # -- kernel specialization cache ---------------------------------------------
@@ -109,11 +114,11 @@ class TestKernelCache:
         assert a is not b and a is not c
         assert engine.kernel_cache_stats()["size"] == 3
 
-    def test_lru_eviction(self):
+    def test_lru_eviction(self, monkeypatch):
         from repro.graphblas.semiring import semiring
         from repro.graphblas.types import FP64
 
-        engine.set_engine(cache_size=2)
+        monkeypatch.setattr(engine, "CACHE_SIZE", 2)
         engine.clear_kernel_cache()
         for name in ("PLUS_TIMES", "MIN_PLUS", "MAX_PLUS"):
             engine.kernel_for(semiring(name), FP64)
@@ -127,13 +132,6 @@ class TestKernelCache:
         assert engine.kernel_for(semiring("ANY_SECONDI"), INT64) is None
         assert engine.kernel_cache_stats()["unspecializable"] >= 1
 
-    def test_disabled_engine_returns_none(self):
-        from repro.graphblas.semiring import semiring
-        from repro.graphblas.types import FP64
-
-        engine.set_engine(False)
-        assert engine.kernel_for(semiring("PLUS_TIMES"), FP64) is None
-
     def test_compile_emits_telemetry_decision(self):
         from repro.graphblas.semiring import semiring
         from repro.graphblas.types import FP64
@@ -145,7 +143,7 @@ class TestKernelCache:
         assert "engine.kernel" in names
 
 
-# -- bit-for-bit parity: engine on vs off ------------------------------------
+# -- bit-for-bit parity: specialized vs generic kernels--------------------------------
 
 
 SEMIRING_DTYPES = [
@@ -169,11 +167,7 @@ class TestParity:
             ops.mxm(C, A, B, sr, method="gustavson")
             return C.extract_tuples()
 
-        engine.set_engine(True)
-        on = run()
-        engine.set_engine(False)
-        off = run()
-        _same(on, off)
+        _same(*_specialized_vs_generic(run))
 
     @pytest.mark.parametrize("sr,dtype", SEMIRING_DTYPES)
     def test_mxm_dot(self, sr, dtype):
@@ -185,11 +179,7 @@ class TestParity:
             ops.mxm(C, A, B, sr, method="dot")
             return C.extract_tuples()
 
-        engine.set_engine(True)
-        on = run()
-        engine.set_engine(False)
-        off = run()
-        _same(on, off)
+        _same(*_specialized_vs_generic(run))
 
     @pytest.mark.parametrize("method", ["push", "pull"])
     @pytest.mark.parametrize("sr,dtype", SEMIRING_DTYPES)
@@ -203,11 +193,7 @@ class TestParity:
             ops.mxv(w, A, u, sr, method=method)
             return w.extract_tuples()
 
-        engine.set_engine(True)
-        on = run()
-        engine.set_engine(False)
-        off = run()
-        _same(on, off)
+        _same(*_specialized_vs_generic(run))
 
     def test_vxm_pull_transposed(self):
         A, _ = _mats()
@@ -218,11 +204,7 @@ class TestParity:
             ops.vxm(w, u, A, "PLUS_TIMES", method="pull")
             return w.extract_tuples()
 
-        engine.set_engine(True)
-        on = run()
-        engine.set_engine(False)
-        off = run()
-        _same(on, off)
+        _same(*_specialized_vs_generic(run))
 
     def test_dot_early_exit_terminal_monoid(self):
         A, B = _mats(dtype=bool, density=0.3)
@@ -232,11 +214,7 @@ class TestParity:
             ops.mxm(C, A, B, "LOR_LAND", method="dot")
             return C.extract_tuples()
 
-        engine.set_engine(True)
-        on = run()
-        engine.set_engine(False)
-        off = run()
-        _same(on, off)
+        _same(*_specialized_vs_generic(run))
 
 
 class TestParallelParity:
@@ -249,9 +227,9 @@ class TestParallelParity:
             ops.mxm(C, A, B, "PLUS_TIMES", method="gustavson")
             return C.extract_tuples()
 
-        engine.set_engine(True, workers=4)
+        engine.set_workers(4)
         par = run()
-        engine.set_engine(parallel=False)
+        engine.set_workers(1)
         ser = run()
         _same(par, ser)
 
@@ -265,9 +243,9 @@ class TestParallelParity:
             ops.mxv(w, A, u, "PLUS_TIMES", method="pull")
             return w.extract_tuples()
 
-        engine.set_engine(True, workers=4)
+        engine.set_workers(4)
         par = run()
-        engine.set_engine(parallel=False)
+        engine.set_workers(1)
         ser = run()
         _same(par, ser)
 
@@ -278,7 +256,7 @@ class TestParallelParity:
             pytest.skip("row-blocked SpGEMM is an optimized-backend path")
         A, B = _mats(n=150, density=0.15)
         monkeypatch.setattr(engine, "MIN_PARALLEL_FLOPS", 1)
-        engine.set_engine(True, workers=4)
+        engine.set_workers(4)
         with telemetry.collect() as col:
             ops.mxm(Matrix("FP64", 150, 150), A, B, "PLUS_TIMES",
                     method="gustavson")
@@ -288,6 +266,71 @@ class TestParallelParity:
         ]
         assert len(spans) >= 2
         assert all(s["args"]["op"] == "mxm" for s in spans)
+
+
+class TestSharedPool:
+    def test_growing_the_pool_keeps_a_fetched_executor_usable(self, monkeypatch):
+        """A caller that fetched the shared executor must still be able to
+        submit after a concurrent caller grows the pool."""
+        fetched, grown = threading.Event(), threading.Event()
+        real_get = engine._get_executor
+        small = threading.current_thread().name + "-small"
+
+        def pausing_get(workers):
+            ex = real_get(workers)
+            if threading.current_thread().name == small:
+                fetched.set()
+                grown.wait(10)  # submit only after the pool has grown
+            return ex
+
+        monkeypatch.setattr(engine, "_get_executor", pausing_get)
+        out = {}
+
+        def small_caller():
+            try:
+                out["small"] = engine.run_blocks(lambda x: x * 2, [(1,), (2,)], 2)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                out["small"] = exc
+
+        t = threading.Thread(target=small_caller, name=small)
+        t.start()
+        assert fetched.wait(10)
+        out["big"] = engine.run_blocks(lambda x: x + 1, [(k,) for k in range(4)], 4)
+        assert engine.pool_stats()["started"] == 4
+        grown.set()
+        t.join(10)
+        assert not t.is_alive()
+        assert out["big"] == [1, 2, 3, 4]
+        assert out["small"] == [2, 4]
+
+    def test_concurrent_callers_with_growing_worker_counts(self):
+        """Stress: callers on more threads than cores keep asking for more
+        workers while others submit; every call returns its own results."""
+        errors = []
+
+        def caller(seed):
+            try:
+                for k in range(1, 9):
+                    w = (seed + k) % 8 + 1
+                    got = engine.run_blocks(lambda a, b: a * b,
+                                            [(seed, j) for j in range(w)], w)
+                    if got != [seed * j for j in range(w)]:
+                        errors.append(("wrong", seed, w, got))
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 # -- dual-format twins -------------------------------------------------------
@@ -315,13 +358,6 @@ class TestDualFormat:
         assert np.array_equal(tw_minor, i[order])
         assert np.array_equal(tw_vals, v[order])
 
-    def test_engine_off_does_not_cache(self):
-        engine.set_engine(False)
-        A, _ = _mats()
-        A.wait()
-        A.by_col()
-        assert A._alt is None
-
     def test_twin_emits_telemetry_decision(self):
         A, _ = _mats()
         with telemetry.collect() as col:
@@ -336,17 +372,9 @@ class TestDualFormat:
 class TestTransposeFastPath:
     def test_transpose_matches_generic(self):
         A, _ = _mats()
-
-        def run():
-            C = Matrix("FP64", 80, 80)
-            ops.transpose(C, A)
-            return C.extract_tuples()
-
-        engine.set_engine(True)
-        on = run()
-        engine.set_engine(False)
-        off = run()
-        _same(on, off)
+        C = Matrix("FP64", 80, 80)
+        ops.transpose(C, A)
+        _same(C.extract_tuples(), _transposed_tuples(A))
 
     def test_transpose_output_has_warm_twin(self):
         from repro.graphblas.backends import current_backend_name
@@ -377,16 +405,14 @@ class TestTransposeFastPath:
         A, _ = _mats()
         M = random_matrix(80, 80, 0.2, dtype=bool, seed=3)
 
-        def run():
-            C = Matrix("FP64", 80, 80)
-            ops.transpose(C, A, mask=M)
-            return C.extract_tuples()
-
-        engine.set_engine(True)
-        on = run()
-        engine.set_engine(False)
-        off = run()
-        _same(on, off)
+        C = Matrix("FP64", 80, 80)
+        ops.transpose(C, A, mask=M)
+        ti, tj, tv = _transposed_tuples(A)
+        mi, mj, mv = M.extract_tuples()
+        allowed = set(zip(mi[mv].tolist(), mj[mv].tolist()))
+        keep = np.array([(r, c) in allowed for r, c in zip(ti.tolist(), tj.tolist())],
+                        dtype=bool)
+        _same(C.extract_tuples(), (ti[keep], tj[keep], tv[keep]))
 
 
 # -- wait() sortedness fast path ---------------------------------------------
@@ -505,17 +531,6 @@ class TestResolverMemo:
 
 
 class TestCapi:
-    def test_engine_set_get_roundtrip(self):
-        assert capi.GxB_Engine_set(False) == Info.SUCCESS
-        assert capi.GxB_Engine_get()["enabled"] is False
-        assert capi.GxB_Engine_set(True, workers=2) == Info.SUCCESS
-        got = capi.GxB_Engine_get()
-        assert got["enabled"] is True and got["workers"] == 2
-        assert "cache" in got
-
-    def test_engine_set_invalid_kwarg(self):
-        assert capi.GxB_Engine_set(True, bogus=1) == Info.INVALID_VALUE
-
     def test_descriptor_nthreads_set(self):
         info, d = capi.GrB_Descriptor_new()
         assert info == Info.SUCCESS
@@ -540,7 +555,7 @@ class TestCapi:
         ops.mxm(C1, A, B, "PLUS_TIMES", desc=Descriptor(nthreads=3),
                 method="gustavson")
         C2 = Matrix("FP64", 60, 60)
-        engine.set_engine(parallel=False)
+        engine.set_workers(1)
         ops.mxm(C2, A, B, "PLUS_TIMES", method="gustavson")
         _same(C1.extract_tuples(), C2.extract_tuples())
 

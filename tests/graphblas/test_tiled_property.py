@@ -45,7 +45,6 @@ _action = st.one_of(
 @pytest.fixture(autouse=True)
 def _engine_on():
     engine.reset()
-    engine.set_engine(True)
     yield
     engine.reset()
 

@@ -78,7 +78,6 @@ def deep_state(obj):
                 list(obj._pend_del),
             ),
             "valid": obj._valid,
-            "keep_both": obj._keep_both,
         }
     if isinstance(obj, Vector):
         return {
@@ -102,7 +101,6 @@ def assert_same_state(obj, before) -> None:
         assert obj.dtype == before["dtype"]
         assert (obj.nrows, obj.ncols) == (before["nrows"], before["ncols"])
         assert obj._valid == before["valid"]
-        assert obj._keep_both == before["keep_both"]
         _store_same(before["store"], obj._store, "store")
         if before["alt"] is None and obj._alt is not None:
             # A dual-format twin may legitimately appear during an op that

@@ -2,9 +2,10 @@
 
 Two properties: (1) the engine's parallel row-blocking asks the governor
 how many workers the budget can fund, and is clamped (never rejected) to
-a serial run when blocks don't fit; (2) an over-footprint multiply is
-still rejected *before* any engine kernel runs — engine-on changes
-nothing about the transactional admission guarantee.
+a serial run when blocks don't fit or the context caps ``max_workers``;
+(2) an over-footprint multiply is still rejected *before* any engine
+kernel runs — the engine changes nothing about the transactional
+admission guarantee.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.graphblas import (
     validate,
 )
 from repro.graphblas import operations as ops
-from repro.graphblas.errors import Info
+from repro.graphblas.errors import Info, InvalidValue
 from tests.helpers import random_matrix_np
 from tests.resilience._state import assert_same_state, deep_state
 
@@ -27,7 +28,6 @@ from tests.resilience._state import assert_same_state, deep_state
 @pytest.fixture(autouse=True)
 def _fresh_engine():
     engine.reset()
-    engine.set_engine(True)
     yield
     engine.reset()
 
@@ -60,10 +60,21 @@ class TestAdmitWorkers:
     def test_requests_below_one_are_normalized(self):
         assert governor.admit_workers(0, 1 << 20) == 1
 
+    def test_max_workers_caps_request(self):
+        with governor.ExecutionContext(max_workers=1):
+            assert governor.admit_workers(8, 1) == 1
+        with governor.ExecutionContext(max_workers=3, memory_budget=2 << 20):
+            assert governor.admit_workers(8, 1) == 3        # cap binds
+            assert governor.admit_workers(8, 1 << 20) == 2  # budget binds
+
+    def test_max_workers_below_one_rejected(self):
+        with pytest.raises(InvalidValue):
+            governor.ExecutionContext(max_workers=0)
+
 
 class TestEngineUnderBudget:
     def test_over_footprint_mxm_rejected_operands_intact(self, AB):
-        """Engine on, parallel on: admission still fires before any kernel
+        """Parallel kernels enabled: admission still fires before any kernel
         (specialized or not) touches the operands."""
         A, B = AB
         C = Matrix("FP64", 30, 30)
@@ -79,11 +90,10 @@ class TestEngineUnderBudget:
     def test_parallel_mxm_clamped_matches_serial(self, AB, monkeypatch):
         A, B = AB
         monkeypatch.setattr(engine, "MIN_PARALLEL_FLOPS", 1)
-        engine.set_engine(workers=8)
         C_ser = Matrix("FP64", 30, 30)
-        engine.set_engine(parallel=False)
+        engine.set_workers(1)
         ops.mxm(C_ser, A, B, "PLUS_TIMES", method="gustavson")
-        engine.set_engine(parallel=True)
+        engine.set_workers(8)
         C_par = Matrix("FP64", 30, 30)
         # a budget big enough to admit the op but only ~2 parallel blocks
         with governor.ExecutionContext(memory_budget=8 << 20) as ctx:
@@ -94,14 +104,6 @@ class TestEngineUnderBudget:
         assert np.array_equal(ri, rj)
         assert np.array_equal(ci, cj)
         assert np.array_equal(vi, vj)
-
-    def test_engine_off_rejection_unchanged(self, AB):
-        A, B = AB
-        engine.set_engine(False)
-        C = Matrix("FP64", 30, 30)
-        with governor.ExecutionContext(memory_budget=1, degrade=False):
-            with pytest.raises(BudgetExceeded):
-                ops.mxm(C, A, B, "PLUS_TIMES")
 
     def test_pull_mxv_with_twin_rejected_cleanly(self, AB):
         """Rejection happens at plan admission — before the orientation

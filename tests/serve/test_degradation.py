@@ -7,11 +7,12 @@ import time
 import pytest
 
 from repro import obs
-from repro.graphblas import backends, engine, faults, governor
+from repro.generators import random_matrix
+from repro.graphblas import Matrix, backends, engine, faults, governor
+from repro.graphblas import operations as ops
 from repro.graphblas.errors import BudgetExceeded, OutOfMemory
 from repro.lagraph import bfs
 from repro.serve import ALGORITHMS, GraphServer, register_algorithm
-from repro.serve.server import _engine_off
 
 
 def counter_total(name: str, **labels) -> float:
@@ -169,15 +170,55 @@ class TestDegradationLadder:
             t.result(30)
 
 
-class TestEngineOffTier:
-    def test_refcounted_toggle_restores_engine(self):
-        assert engine.get_config().enabled
-        with _engine_off():
-            assert not engine.get_config().enabled
-            with _engine_off():  # nested: refcounted, stays off
-                assert not engine.get_config().enabled
-            assert not engine.get_config().enabled
-        assert engine.get_config().enabled
+class TestLiteTierIsolation:
+    def test_lite_request_does_not_serialize_other_threads(self, edges,
+                                                           monkeypatch):
+        """The lite tier caps its own request's workers; an ungoverned mxm
+        on another thread still fans out while it is in flight."""
+        n, src, dst = edges
+        monkeypatch.setattr(engine, "MIN_PARALLEL_FLOPS", 1)
+        monkeypatch.setattr(engine, "WORKERS", 4)
+        calls = []
+        real_run_blocks = engine.run_blocks
+
+        def spy(fn, arg_tuples, workers):
+            calls.append((threading.get_ident(), len(arg_tuples)))
+            return real_run_blocks(fn, arg_tuples, workers)
+
+        monkeypatch.setattr(engine, "run_blocks", spy)
+        A = random_matrix(150, 150, 0.15, seed=11)
+        inflight, release = threading.Event(), threading.Event()
+        server_thread = []
+
+        def hold(g):
+            server_thread.append(threading.get_ident())
+            ops.mxm(Matrix("FP64", 150, 150), A, A, "PLUS_TIMES",
+                    method="gustavson")
+            inflight.set()
+            release.wait(10)
+            return True
+
+        register_algorithm("hold", hold)
+        try:
+            # lite_watermark 0: every request runs on the lite tier
+            with GraphServer(workers=1, deadline_s=None,
+                             lite_watermark=0.0) as srv:
+                srv.add_graph("g", n=n)
+                srv.ingest("g", src, dst)
+                srv.publish("g")
+                ticket = srv.submit("hold", graph="g")
+                assert inflight.wait(10)
+                ops.mxm(Matrix("FP64", 150, 150), A, A, "PLUS_TIMES",
+                        method="gustavson")
+                release.set()
+                assert ticket.result(30) is True
+                assert ticket.tier == "lite"
+        finally:
+            release.set()
+            ALGORITHMS.pop("hold", None)
+        mine = [k for tid, k in calls if tid == threading.get_ident()]
+        assert mine and max(mine) > 1
+        assert not [k for tid, k in calls if tid in server_thread and k > 1]
 
 
 class TestServeRetries:
